@@ -181,8 +181,10 @@ void Run(const bench::BenchOptions& options) {
   dataset_config.num_rows = options.n != 0 ? options.n
                             : options.quick ? 100000
                                             : 500000;
-  auto dataset = ServedDataset::Build(dataset_config);
-  MDS_CHECK(dataset.ok());
+  auto built_catalog = ServedDataset::Build(dataset_config);
+  MDS_CHECK(built_catalog.ok());
+  const auto dataset =
+      std::make_shared<ServedDataset>(std::move(*built_catalog));
   std::printf("dataset: %llu rows, dim %zu\n",
               (unsigned long long)dataset->num_rows(), dataset->dim());
 
@@ -191,7 +193,7 @@ void Run(const bench::BenchOptions& options) {
     ServerConfig config;
     config.num_workers = 4;
     config.max_in_flight = 256;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     // Correctness probe before the clock starts: one remote count must
@@ -235,7 +237,7 @@ void Run(const bench::BenchOptions& options) {
     ServerConfig config;
     config.num_workers = 2;
     config.max_in_flight = 4;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     const size_t clients = 2 * config.max_in_flight * 2;  // 2x cap, 2 each
@@ -271,7 +273,7 @@ void Run(const bench::BenchOptions& options) {
     config.num_workers = 2;
     config.max_in_flight = 4;
     config.cache_bytes = 32u << 20;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     const size_t kDistinct = 64;
@@ -395,7 +397,7 @@ void Run(const bench::BenchOptions& options) {
     config.num_workers = 4;
     config.max_in_flight = 256;
     config.cache_bytes = 32u << 20;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     const size_t kConns = 64;
@@ -475,20 +477,17 @@ void Run(const bench::BenchOptions& options) {
     double shards4_per_sec = 0.0;
     for (const uint32_t num_shards : {1u, 2u, 4u}) {
       // Shard datasets: shard 0 of 1 is the full catalog, already built.
-      std::vector<std::unique_ptr<ServedDataset>> shard_data;
       std::vector<std::unique_ptr<QueryServer>> backends;
       ShardMap map;
       for (uint32_t i = 0; i < num_shards; ++i) {
-        ServedDataset* served = &*dataset;
+        std::shared_ptr<ServedDataset> served = dataset;
         if (num_shards > 1) {
           DatasetConfig shard_config = dataset_config;
           shard_config.shard_index = i;
           shard_config.shard_count = num_shards;
           auto built = ServedDataset::Build(shard_config);
           MDS_CHECK(built.ok());
-          shard_data.push_back(
-              std::make_unique<ServedDataset>(std::move(*built)));
-          served = shard_data.back().get();
+          served = std::make_shared<ServedDataset>(std::move(*built));
         }
         ServerConfig backend_config;
         backend_config.num_workers = 2;
@@ -556,8 +555,8 @@ void Run(const bench::BenchOptions& options) {
     ServerConfig backend_config;
     backend_config.num_workers = 2;
     backend_config.max_in_flight = 256;
-    QueryServer replica0(&*dataset, backend_config);
-    QueryServer replica1(&*dataset, backend_config);
+    QueryServer replica0(dataset, backend_config);
+    QueryServer replica1(dataset, backend_config);
     MDS_CHECK(replica0.Start().ok());
     MDS_CHECK(replica1.Start().ok());
     ShardMap map;

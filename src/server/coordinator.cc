@@ -1,8 +1,12 @@
 #include "server/coordinator.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
+#include <functional>
+#include <map>
 #include <random>
+#include <thread>
 #include <utility>
 
 #include "geom/box.h"
@@ -191,14 +195,19 @@ protocol::QueryReply MergeQueryReplies(
 
 // --- fan-out pool ----------------------------------------------------------
 
-/// A plain queue-based thread pool. TaskPool (common/parallel.h) is a
-/// fork/join pool whose Run() admits one caller at a time — exactly wrong
-/// for many concurrent handler threads each scattering a few jobs — so the
-/// coordinator brings its own. Jobs block on network I/O (bounded by the
-/// sub-request deadline), so the pool is sized to the replica count, not
-/// the core count.
+/// A plain queue-based thread pool with timed jobs. TaskPool
+/// (common/parallel.h) is a fork/join pool whose Run() admits one caller at
+/// a time — exactly wrong for many concurrent fan-outs each scattering a
+/// few jobs — so the coordinator brings its own. Jobs block on network I/O
+/// (bounded by the sub-request deadline), so the pool is sized to the
+/// replica count, not the core count. Timed jobs (hedges) wait on the
+/// condition variable's own deadline, so they fire at microsecond
+/// precision — never on an event-loop tick — and no job ever blocks
+/// waiting for another queued job.
 class Coordinator::FanoutPool {
  public:
+  using Clock = std::chrono::steady_clock;
+
   explicit FanoutPool(unsigned threads) {
     threads_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i) {
@@ -223,43 +232,82 @@ class Coordinator::FanoutPool {
     cv_.notify_one();
   }
 
+  /// Runs `fn` on a pool thread once `at` has passed. Timers still pending
+  /// at destruction are dropped.
+  void SubmitAt(Clock::time_point at, std::function<void()> fn) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      timed_.emplace(at, std::move(fn));
+    }
+    cv_.notify_one();
+  }
+
  private:
   void Work() {
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       std::function<void()> fn;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-        // Drain the queue even when stopping: a handler may still be
-        // waiting on a queued attempt.
-        if (queue_.empty()) return;
+      if (!queue_.empty()) {
+        // Drain the queue even when stopping: every queued job belongs to
+        // a request that still owes its client a reply.
         fn = std::move(queue_.front());
         queue_.pop_front();
+      } else if (!timed_.empty() && timed_.begin()->first <= Clock::now()) {
+        fn = std::move(timed_.begin()->second);
+        timed_.erase(timed_.begin());
+      } else if (stop_) {
+        return;
+      } else {
+        if (timed_.empty()) {
+          cv_.wait(lock);
+        } else {
+          // A copy: another thread may run (and erase) this timer while
+          // the lock is released inside wait_until.
+          const Clock::time_point next = timed_.begin()->first;
+          cv_.wait_until(lock, next);
+        }
+        continue;
       }
+      // Leave an idle thread watching the next timer while this one runs.
+      if (!timed_.empty()) cv_.notify_one();
+      lock.unlock();
       fn();
+      fn = nullptr;  // release the job's captures outside the lock
+      lock.lock();
     }
   }
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
+  std::multimap<Clock::time_point, std::function<void()>> timed_;
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };
 
-/// One client connection: its handler thread reads frames from it; the
-/// socket is shared with Shutdown (read-side shutdown only, see Socket's
-/// thread-safety note).
-struct Coordinator::ClientConn {
-  Socket sock;
-};
-
 // --- lifecycle -------------------------------------------------------------
+
+namespace {
+
+FrontEnd::Options FrontEndOptions(const CoordinatorConfig& config) {
+  FrontEnd::Options options;
+  options.port = config.port;
+  options.max_in_flight = config.max_in_flight;
+  options.max_connections = config.max_connections;
+  options.idle_timeout_ms = config.idle_timeout_ms;
+  // One I/O thread: the coordinator does no engine work on it, and every
+  // backend exchange runs on the fan-out pool.
+  options.io_threads = 1;
+  return options;
+}
+
+}  // namespace
 
 Coordinator::Coordinator(const ShardMap& map, const CoordinatorConfig& config)
     : config_(config),
       rng_(config.jitter_seed != 0 ? config.jitter_seed
-                                   : std::random_device{}()) {
+                                   : std::random_device{}()),
+      front_(FrontEndOptions(config), this) {
   shards_.reserve(map.shards.size());
   for (const auto& replicas : map.shards) {
     auto shard = std::make_unique<Shard>();
@@ -341,198 +389,71 @@ Status Coordinator::Start() {
   }
   fanout_ = std::make_unique<FanoutPool>(fanout);
 
-  auto listener = TcpListener::Listen(config_.port);
-  if (!listener.ok()) return listener.status();
-  listener_ = std::move(*listener);
-  port_ = listener_.port();
-  state_.store(State::kRunning);
-  stop_accept_.store(false);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  Status started = front_.Start();
+  if (!started.ok()) {
+    fanout_.reset();
+    return started;
+  }
   started_ = true;
   return Status::OK();
 }
 
-void Coordinator::RequestDrain() {
-  State expected = State::kRunning;
-  state_.compare_exchange_strong(expected, State::kDraining);
-}
-
 void Coordinator::Shutdown() {
   if (!started_) return;
-  RequestDrain();
-
-  stop_accept_.store(true);
-  listener_.Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Unblock every handler's read loop; in-flight replies still flush
-  // (the write direction stays open until the handler closes its socket).
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& conn : conns_) conn->sock.ShutdownRead();
-  }
-  for (std::thread& t : handler_threads_) {
-    if (t.joinable()) t.join();
-  }
-  handler_threads_.clear();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
-
-  fanout_.reset();  // drains queued attempts, joins pool threads
+  // Every admitted fan-out finishes first; joining the pool then waits out
+  // the Send of the last reply (and any losing hedge leg, which the winner
+  // aborted), so the front end can flush and close.
+  front_.AwaitIdle();
+  fanout_.reset();
+  front_.Stop();
   for (auto& shard : shards_) {
     for (auto& replica : shard->replicas) {
       std::lock_guard<std::mutex> lock(replica->mu);
       replica->idle.clear();
     }
   }
-  state_.store(State::kStopped);
   started_ = false;
 }
 
-void Coordinator::AcceptLoop() {
-  while (!stop_accept_.load()) {
-    auto sock = listener_.Accept(IoDeadline::After(250));
-    if (!sock.ok()) continue;  // deadline tick or listener shutdown
-    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    size_t open = 0;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      open = conns_.size();
-    }
-    if (draining() || open >= config_.max_connections) {
-      counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-      continue;  // Socket destructor closes the connection
-    }
-    (void)sock->SetNoDelay();
-    auto conn = std::make_shared<ClientConn>();
-    conn->sock = std::move(*sock);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    handler_threads_.emplace_back(
-        [this, conn]() mutable { HandleConnection(std::move(conn)); });
-  }
+// --- request path ----------------------------------------------------------
+
+void Coordinator::FillHealth(protocol::HealthReply* reply) const {
+  reply->served_rows = served_rows_.load();
+  reply->dim = dim_;
 }
 
-void Coordinator::HandleConnection(std::shared_ptr<ClientConn> conn) {
-  for (;;) {
-    std::vector<uint8_t> payload;
-    const IoDeadline deadline =
-        config_.idle_timeout_ms == 0
-            ? IoDeadline::Infinite()
-            : IoDeadline::After(config_.idle_timeout_ms);
-    uint64_t frame_bytes = 0;
-    Status st =
-        protocol::ReadFrame(&conn->sock, deadline, &payload, &frame_bytes);
-    counters_.bytes_in.fetch_add(frame_bytes, std::memory_order_relaxed);
-    if (!st.ok()) {
-      if (st.code() == StatusCode::kInvalidArgument ||
-          st.code() == StatusCode::kCorruption) {
-        counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      }
-      break;  // clean close, idle timeout, mid-frame close or violation
+void Coordinator::Execute(FrontEnd::Batch batch) {
+  // The coordinator gangs nothing: every batch is one request.
+  for (Request& client : batch) {
+    if (client.header.type == MessageType::kReload) {
+      auto shared = std::make_shared<Request>(std::move(client));
+      fanout_->Submit([this, shared] { HandleReload(*shared); });
+      continue;
     }
-    if (!HandleFrame(conn.get(), std::move(payload))) break;
-  }
-  counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-  {
-    // Deregister before touching the fd: Shutdown() calls ShutdownRead()
-    // on every socket still registered (under conns_mu_), so the socket
-    // must leave the registry before Close() invalidates it.
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.erase(std::remove(conns_.begin(), conns_.end(), conn), conns_.end());
-  }
-  conn->sock.Close();
-}
-
-bool Coordinator::HandleFrame(ClientConn* conn, std::vector<uint8_t> payload) {
-  WireReader r(payload);
-  MessageHeader header;
-  if (!protocol::DecodeMessageHeader(&r, &header).ok()) {
-    // Bad version or truncated header: the stream cannot be trusted.
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  counters_.requests_total.fetch_add(1, std::memory_order_relaxed);
-
-  if (header.type == MessageType::kHealth) {
-    HandleHealth(conn, header);
-    return true;
-  }
-  if (header.type == MessageType::kStats) {
-    HandleStats(conn, header);
-    return true;
-  }
-  if (header.type == MessageType::kReload) {
-    // Admin request: body is the deadline prefix + the reload body.
-    const uint32_t deadline_ms = r.GetU32();
-    if (!r.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    protocol::ReloadRequest reload;
-    Status decoded = protocol::DecodeReloadRequest(&r, &reload);
-    if (decoded.ok()) decoded = r.ExpectEnd();
+    auto scatter = std::make_shared<Scatter>();
+    scatter->client = std::move(client);
+    const Request& req = scatter->client;
+    scatter->req.arrival = req.arrival;
+    const Status decoded =
+        DecodeSubRequest(req.header, req.body(), req.body_size(),
+                         req.deadline_ms, &scatter->req);
     if (!decoded.ok()) {
-      WriteReplyFrame(conn, header, decoded, 0, nullptr);
-      return true;
+      front_.Finish(req, decoded);
+      front_.ReplyError(req, decoded, 0);
+      continue;
     }
-    HandleReload(conn, header, reload, deadline_ms);
-    return true;
+    StartScatter(std::move(scatter));
   }
-  if (protocol::TypeIndex(header.type) >= protocol::kNumRequestTypes) {
-    WriteReplyFrame(conn, header,
-                    Status::InvalidArgument(
-                        "unknown message type " +
-                        std::to_string(static_cast<int>(header.type))),
-                    0, nullptr);
-    return true;
-  }
-
-  // Query request: the body starts with the u32 deadline prefix.
-  const uint32_t deadline_ms = r.GetU32();
-  if (!r.ok()) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const size_t body_offset = payload.size() - r.remaining();
-  HandleQuery(conn, header, payload, body_offset, deadline_ms);
-  return true;
 }
 
-void Coordinator::HandleHealth(ClientConn* conn, const MessageHeader& header) {
-  const auto arrival = std::chrono::steady_clock::now();
-  protocol::HealthReply reply;
-  reply.draining = draining() ? 1 : 0;
-  reply.served_rows = served_rows_;
-  reply.dim = dim_;
-  const uint32_t flags = reply.draining ? protocol::kFlagDraining : 0;
-  WriteReplyFrame(conn, header, Status::OK(), flags, [&](WireWriter* w) {
-    protocol::EncodeHealthReply(reply, w);
-  });
-  RecordReply(header.type, arrival, Status::OK());
-}
-
-void Coordinator::HandleStats(ClientConn* conn, const MessageHeader& header) {
-  // Count this reply before snapshotting so the snapshot includes the stats
-  // request itself, matching mdsd's accounting.
-  RecordReply(header.type, std::chrono::steady_clock::now(), Status::OK());
-  const protocol::ServerStatsSnapshot snapshot = Stats();
-  WriteReplyFrame(conn, header, Status::OK(), 0, [&](WireWriter* w) {
-    protocol::EncodeServerStats(snapshot, w);
-  });
-}
-
-void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
-                               const protocol::ReloadRequest& request,
-                               uint32_t deadline_ms) {
-  const auto arrival = std::chrono::steady_clock::now();
-  if (draining()) {
-    counters_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-    const Status shed = Status::Unavailable("coordinator is draining");
-    WriteReplyFrame(conn, header, shed, protocol::kFlagDraining, nullptr);
-    RecordReply(header.type, arrival, shed);
+void Coordinator::HandleReload(const Request& client) {
+  WireReader r(client.body(), client.body_size());
+  protocol::ReloadRequest request;
+  Status decoded = protocol::DecodeReloadRequest(&r, &request);
+  if (decoded.ok()) decoded = r.ExpectEnd();
+  if (!decoded.ok()) {
+    front_.Finish(client, decoded);
+    front_.ReplyError(client, decoded, 0);
     return;
   }
   // One fleet reload at a time: concurrent broadcasts would interleave
@@ -540,7 +461,7 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
   std::lock_guard<std::mutex> lock(reload_mu_);
 
   QueryOptions options;
-  options.deadline_ms = deadline_ms;  // 0 = the client's long default bound
+  options.deadline_ms = client.deadline_ms;  // 0 = the client's long bound
 
   // Broadcast to every replica of every shard over fresh connections
   // (reloads are rare, and a dataset build would hold a pooled connection
@@ -555,12 +476,12 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
     for (size_t i = 0; i < shard->replicas.size(); ++i) {
       Replica* replica = shard->replicas[i].get();
       Status failed = Status::OK();
-      auto client = QueryClient::Connect(
+      auto conn = QueryClient::Connect(
           replica->addr.host, replica->addr.port, config_.connect_timeout_ms);
-      if (!client.ok()) {
-        failed = client.status();
+      if (!conn.ok()) {
+        failed = conn.status();
       } else {
-        auto reply = client->Reload(request.path, options);
+        auto reply = conn->Reload(request.path, options);
         if (!reply.ok()) {
           failed = reply.status();
         } else {
@@ -573,8 +494,8 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
         const Status st = AnnotateStatus(
             failed, "Coordinator: reload of shard " + std::to_string(s) +
                         " replica " + std::to_string(i) + " failed");
-        WriteReplyFrame(conn, header, st, 0, nullptr);
-        RecordReply(header.type, arrival, st);
+        front_.Finish(client, st);
+        front_.ReplyError(client, st, 0);
         return;
       }
     }
@@ -583,83 +504,10 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
   }
   served_rows_.store(merged.served_rows);
 
-  WriteReplyFrame(conn, header, Status::OK(), 0, [&](WireWriter* w) {
+  front_.Finish(client, Status::OK());
+  front_.Reply(client, Status::OK(), 0, [&](WireWriter* w) {
     protocol::EncodeReloadReply(merged, w);
   });
-  RecordReply(header.type, arrival, Status::OK());
-}
-
-void Coordinator::HandleQuery(ClientConn* conn, const MessageHeader& header,
-                              const std::vector<uint8_t>& payload,
-                              size_t body_offset, uint32_t deadline_ms) {
-  const auto arrival = std::chrono::steady_clock::now();
-
-  if (draining()) {
-    counters_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-    const Status shed = Status::Unavailable("coordinator is draining");
-    WriteReplyFrame(conn, header, shed, protocol::kFlagDraining, nullptr);
-    RecordReply(header.type, arrival, shed);
-    return;
-  }
-  const size_t in_flight = in_flight_.fetch_add(1) + 1;
-  uint64_t peak = counters_.in_flight_peak.load(std::memory_order_relaxed);
-  while (in_flight > peak &&
-         !counters_.in_flight_peak.compare_exchange_weak(peak, in_flight)) {
-  }
-  if (in_flight > config_.max_in_flight) {
-    in_flight_.fetch_sub(1);
-    counters_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-    const Status shed = Status::Unavailable(
-        "coordinator overloaded: " + std::to_string(config_.max_in_flight) +
-        " requests in flight");
-    WriteReplyFrame(conn, header, shed, 0, nullptr);
-    RecordReply(header.type, arrival, shed);
-    return;
-  }
-
-  SubRequest req;
-  req.arrival = arrival;
-  Status st = DecodeSubRequest(header, payload.data() + body_offset,
-                               payload.size() - body_offset, deadline_ms, &req);
-  protocol::QueryReply merged;
-  std::vector<protocol::WireNeighbor> neighbors;
-  ScatterOutcome outcome;
-  if (st.ok()) {
-    st = ScatterGather(req, &merged, &neighbors, &outcome);
-  }
-  in_flight_.fetch_sub(1);
-
-  if (!st.ok()) {
-    WriteReplyFrame(conn, header, st, 0, nullptr);
-    RecordReply(header.type, arrival, st);
-    return;
-  }
-  // A partial merge is a degraded answer: both flags, so old clients that
-  // only know kFlagDegraded still see "incomplete", and new clients can
-  // tell "shards missing" from "pages skipped".
-  const uint32_t partial_flags =
-      outcome.partial ? (protocol::kFlagPartial | protocol::kFlagDegraded) : 0;
-  if (header.type == MessageType::kKnn) {
-    protocol::KnnReply reply;
-    reply.neighbors = std::move(neighbors);
-    reply.shards_answered = outcome.answered;
-    reply.shards_total = outcome.total;
-    reply.shards_mask = outcome.mask;
-    WriteReplyFrame(conn, header, st, partial_flags, [&](WireWriter* w) {
-      protocol::EncodeKnnReply(reply, w);
-    });
-  } else {
-    merged.shards_answered = outcome.answered;
-    merged.shards_total = outcome.total;
-    merged.shards_mask = outcome.mask;
-    merged.degraded = merged.degraded || outcome.partial;
-    const uint32_t flags =
-        (merged.degraded ? protocol::kFlagDegraded : 0) | partial_flags;
-    WriteReplyFrame(conn, header, st, flags, [&](WireWriter* w) {
-      protocol::EncodeQueryReply(merged, w);
-    });
-  }
-  RecordReply(header.type, arrival, st);
 }
 
 Status Coordinator::DecodeSubRequest(const MessageHeader& header,
@@ -737,93 +585,103 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
   }
 }
 
-Status Coordinator::ScatterGather(
-    const SubRequest& req, protocol::QueryReply* merged,
-    std::vector<protocol::WireNeighbor>* neighbors, ScatterOutcome* outcome) {
-  // Attempt jobs (and hedges) can outlive this frame when a late attempt
-  // loses the race, so the request template they read is shared, not
-  // stack-owned.
-  auto shared_req = std::make_shared<const SubRequest>(req);
-  auto scatter = std::make_shared<Scatter>();
+void Coordinator::StartScatter(std::shared_ptr<Scatter> scatter) {
+  const SubRequest& req = scatter->req;
   scatter->calls.resize(shards_.size());
-
-  // Per-shard kNN clamp: a shard cannot answer a k beyond its own rows.
-  std::vector<uint32_t> shard_k(shards_.size(), req.k);
-  if (req.type == MessageType::kKnn) {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      shard_k[s] = static_cast<uint32_t>(
-          std::min<uint64_t>(req.k, shards_[s]->served_rows));
-    }
-  }
-
   const auto now = std::chrono::steady_clock::now();
   for (size_t s = 0; s < shards_.size(); ++s) {
     ShardCall& call = scatter->calls[s];
     call.outstanding = 1;
+    // Per-shard kNN clamp: a shard cannot answer a k beyond its own rows.
+    call.k = req.type == MessageType::kKnn
+                 ? static_cast<uint32_t>(
+                       std::min<uint64_t>(req.k, shards_[s]->served_rows))
+                 : req.k;
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) {
     std::chrono::microseconds delay{0};
-    call.hedge_possible = HedgeDelay(*shards_[s], &delay);
-    if (call.hedge_possible) call.hedge_at = now + delay;
-    fanout_->Submit([this, s, shared_req, k = shard_k[s], scatter] {
-      RunAttempt(s, /*replica_offset=*/0, shared_req, k, scatter, s,
-                 /*is_hedge=*/false);
+    if (HedgeDelay(*shards_[s], &delay)) {
+      fanout_->SubmitAt(now + delay,
+                        [this, scatter, s] { FireHedge(scatter, s); });
+    }
+    fanout_->Submit([this, scatter, s] {
+      RunAttempt(scatter, s, /*replica_offset=*/0, /*is_hedge=*/false);
     });
   }
+}
 
-  // Gather, firing hedges as their delays expire. Attempts are bounded by
-  // the sub-request deadline (plus the client's exchange slack), so every
-  // call completes in bounded time.
+void Coordinator::FireHedge(const std::shared_ptr<Scatter>& scatter,
+                            size_t shard_index) {
+  Shard* shard = shards_[shard_index].get();
+  {
+    std::lock_guard<std::mutex> lock(scatter->mu);
+    ShardCall& call = scatter->calls[shard_index];
+    if (call.done || call.hedged) return;
+    // A hedge is an extra leg like any failover: it needs deadline budget
+    // left to be useful and a retry token to be affordable.
+    uint32_t leg_deadline = 0;
+    if (!LegDeadline(scatter->req, &leg_deadline)) return;
+    if (!SpendRetryToken(shard)) {
+      shard->retries_denied.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    call.hedged = true;
+    ++call.outstanding;
+    shard->hedges_fired.fetch_add(1, std::memory_order_relaxed);
+  }
+  RunAttempt(scatter, shard_index, /*replica_offset=*/1, /*is_hedge=*/true);
+}
+
+void Coordinator::CompleteScatter(Scatter* scatter) {
+  const Request& client = scatter->client;
+  protocol::QueryReply merged;
+  std::vector<protocol::WireNeighbor> neighbors;
+  ScatterOutcome outcome;
+  const Status st = MergeScatter(scatter, &merged, &neighbors, &outcome);
+  front_.Finish(client, st);
+  if (!st.ok()) {
+    front_.ReplyError(client, st, 0);
+    return;
+  }
+  // A partial merge is a degraded answer: both flags, so old clients that
+  // only know kFlagDegraded still see "incomplete", and new clients can
+  // tell "shards missing" from "pages skipped".
+  const uint32_t partial_flags =
+      outcome.partial ? (protocol::kFlagPartial | protocol::kFlagDegraded) : 0;
+  if (client.header.type == MessageType::kKnn) {
+    protocol::KnnReply reply;
+    reply.neighbors = std::move(neighbors);
+    reply.shards_answered = outcome.answered;
+    reply.shards_total = outcome.total;
+    reply.shards_mask = outcome.mask;
+    front_.Reply(client, st, partial_flags, [&](WireWriter* w) {
+      protocol::EncodeKnnReply(reply, w);
+    });
+  } else {
+    merged.shards_answered = outcome.answered;
+    merged.shards_total = outcome.total;
+    merged.shards_mask = outcome.mask;
+    merged.degraded = merged.degraded || outcome.partial;
+    const uint32_t flags =
+        (merged.degraded ? protocol::kFlagDegraded : 0) | partial_flags;
+    front_.Reply(client, st, flags, [&](WireWriter* w) {
+      protocol::EncodeQueryReply(merged, w);
+    });
+  }
+}
+
+Status Coordinator::MergeScatter(
+    Scatter* scatter, protocol::QueryReply* merged,
+    std::vector<protocol::WireNeighbor>* neighbors, ScatterOutcome* outcome) {
+  const SubRequest& req = scatter->req;
   std::vector<protocol::QueryReply> query_replies;
   std::vector<std::vector<protocol::WireNeighbor>> knn_replies;
   Status failure = Status::OK();
   bool all_failures_exhaustion = true;
   {
-    std::unique_lock<std::mutex> lock(scatter->mu);
-    while (scatter->done_count < scatter->calls.size()) {
-      // Earliest pending hedge deadline among live calls, if any.
-      bool have_hedge = false;
-      std::chrono::steady_clock::time_point next{};
-      for (const ShardCall& call : scatter->calls) {
-        if (call.done || call.hedged || !call.hedge_possible) continue;
-        if (!have_hedge || call.hedge_at < next) {
-          next = call.hedge_at;
-          have_hedge = true;
-        }
-      }
-      if (!have_hedge) {
-        scatter->cv.wait(lock);
-        continue;
-      }
-      if (scatter->cv.wait_until(lock, next) == std::cv_status::timeout) {
-        const auto fire_now = std::chrono::steady_clock::now();
-        for (size_t s = 0; s < scatter->calls.size(); ++s) {
-          ShardCall& call = scatter->calls[s];
-          if (call.done || call.hedged || !call.hedge_possible) continue;
-          if (call.hedge_at > fire_now) continue;
-          // A hedge is an extra leg like any failover: it needs deadline
-          // budget left to be useful and a retry token to be affordable.
-          uint32_t leg_deadline = 0;
-          if (!LegDeadline(req, &leg_deadline)) {
-            call.hedge_possible = false;
-            continue;
-          }
-          if (!SpendRetryToken(shards_[s].get())) {
-            shards_[s]->retries_denied.fetch_add(1, std::memory_order_relaxed);
-            call.hedge_possible = false;
-            continue;
-          }
-          call.hedged = true;
-          ++call.outstanding;
-          shards_[s]->hedges_fired.fetch_add(1, std::memory_order_relaxed);
-          fanout_->Submit([this, s, shared_req, k = shard_k[s], scatter] {
-            RunAttempt(s, /*replica_offset=*/1, shared_req, k, scatter, s,
-                       /*is_hedge=*/true);
-          });
-        }
-      }
-    }
-
     // Extract under the lock: a losing late attempt may still touch its
     // call's bookkeeping fields.
+    std::lock_guard<std::mutex> lock(scatter->mu);
     outcome->total = static_cast<uint32_t>(scatter->calls.size());
     for (size_t s = 0; s < scatter->calls.size(); ++s) {
       ShardCall& call = scatter->calls[s];
@@ -859,7 +717,7 @@ Status Coordinator::ScatterGather(
       return failure;
     }
     outcome->partial = true;
-    counters_.partial_replies.fetch_add(1, std::memory_order_relaxed);
+    front_.CountPartialReply();
   }
 
   if (req.type == MessageType::kKnn) {
@@ -877,12 +735,11 @@ Status Coordinator::ScatterGather(
   return Status::OK();
 }
 
-void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
-                             std::shared_ptr<const SubRequest> req,
-                             uint32_t k_for_shard,
-                             std::shared_ptr<Scatter> scatter,
-                             size_t call_index, bool is_hedge) {
+void Coordinator::RunAttempt(const std::shared_ptr<Scatter>& scatter,
+                             size_t shard_index, size_t replica_offset,
+                             bool is_hedge) {
   Shard* shard = shards_[shard_index].get();
+  const SubRequest& req = scatter->req;
   if (!is_hedge) {
     shard->requests.fetch_add(1, std::memory_order_relaxed);
     AccrueRetryBudget(shard);
@@ -919,7 +776,7 @@ void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
         // The other attempt may have completed the call while we were
         // failing over; stop burning backends on an answered question.
         std::lock_guard<std::mutex> lock(scatter->mu);
-        if (scatter->calls[call_index].done) {
+        if (scatter->calls[shard_index].done) {
           if (is_probe) EndProbe(replica);
           stop = true;
           break;
@@ -927,9 +784,9 @@ void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
       }
       // The leg gets min(remaining budget, sub_deadline_ms): a request
       // that arrived with 100 ms can never spend 500 ms in retries here.
-      QueryOptions leg_options = req->options;
+      QueryOptions leg_options = req.options;
       leg_options.exchange_slack_ms = config_.leg_slack_ms;
-      if (!LegDeadline(*req, &leg_options.deadline_ms)) {
+      if (!LegDeadline(req, &leg_options.deadline_ms)) {
         last = Status::DeadlineExceeded(
             "deadline budget exhausted before another backend leg");
         if (is_probe) EndProbe(replica);
@@ -951,8 +808,9 @@ void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
       attempted = true;
 
       bool aborted = false;
-      last = AttemptReplica(shard, replica, *req, leg_options, k_for_shard,
-                            &reply, scatter.get(), call_index, &aborted);
+      last = AttemptReplica(shard, replica, req, leg_options,
+                            scatter->calls[shard_index].k, &reply,
+                            scatter.get(), shard_index, &aborted);
       if (is_probe) EndProbe(replica);
       if (aborted) {
         // The other attempt won mid-exchange: the abort is what failed
@@ -968,7 +826,7 @@ void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
       }
       shard->backend_errors.fetch_add(1, std::memory_order_relaxed);
       if (last.code() == StatusCode::kDeadlineExceeded) {
-        counters_.deadline_timeouts.fetch_add(1, std::memory_order_relaxed);
+        front_.CountDeadlineTimeout();
       }
       if (!ExhaustionFailure(last)) {
         stop = true;  // semantic error: every replica would repeat it
@@ -978,34 +836,36 @@ void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
     }
   }
 
-  std::lock_guard<std::mutex> lock(scatter->mu);
-  ShardCall& call = scatter->calls[call_index];
-  --call.outstanding;
-  if (call.done) return;  // the other attempt won; nothing to record
-  if (success) {
-    call.done = true;
-    call.status = Status::OK();
-    call.reply = std::move(reply);
-    if (is_hedge) {
-      shard->hedges_won.fetch_add(1, std::memory_order_relaxed);
+  bool completed_scatter = false;
+  {
+    std::lock_guard<std::mutex> lock(scatter->mu);
+    ShardCall& call = scatter->calls[shard_index];
+    --call.outstanding;
+    if (call.done) return;  // the other attempt won; nothing to record
+    if (success) {
+      call.done = true;
+      call.status = Status::OK();
+      call.reply = std::move(reply);
+      if (is_hedge) {
+        shard->hedges_won.fetch_add(1, std::memory_order_relaxed);
+      }
+      // Reap the losing attempt's in-flight exchange: shut its socket down
+      // so its read fails now instead of running out the leg deadline on a
+      // connection that must not be pooled anyway. The loser deregisters
+      // under this same mutex before destroying its client, so every
+      // pointer here is live.
+      for (QueryClient* inflight : call.inflight) inflight->Abort();
+    } else {
+      call.status = last;
+      if (call.outstanding > 0) return;  // a hedge is still in flight
+      // Don't wait out a pending hedge timer: this attempt already walked
+      // the replicas, so a hedge could only repeat what just failed.
+      call.done = true;
     }
-    // Reap the losing attempt's in-flight exchange: shut its socket down
-    // so its read fails now instead of running out the leg deadline on a
-    // connection that must not be pooled anyway. The loser deregisters
-    // under this same mutex before destroying its client, so every
-    // pointer here is live.
-    for (QueryClient* inflight : call.inflight) inflight->Abort();
-    ++scatter->done_count;
-    scatter->cv.notify_all();
-    return;
+    completed_scatter = ++scatter->done_count == scatter->calls.size();
   }
-  call.status = last;
-  if (call.outstanding > 0) return;  // a hedge is still in flight
-  // Don't wait out a pending hedge timer: this attempt already walked the
-  // replicas, so a hedge could only repeat what just failed.
-  call.done = true;
-  ++scatter->done_count;
-  scatter->cv.notify_all();
+  // Exactly one attempt completes the last call; it answers the client.
+  if (completed_scatter) CompleteScatter(scatter.get());
 }
 
 Status Coordinator::AttemptReplica(Shard* shard, Replica* replica,
@@ -1183,15 +1043,6 @@ void Coordinator::ReleaseClient(Replica* replica, QueryClient client) {
   }
 }
 
-bool Coordinator::ReplicaHealthy(const Replica& replica) const {
-  // Healthy = breaker not open: closed (under the failure threshold) or
-  // half-open (backoff expired, a probe may run).
-  const uint32_t failures =
-      replica.consecutive_failures.load(std::memory_order_acquire);
-  if (failures < config_.breaker_failure_threshold) return true;
-  return SteadyNowMs() >= replica.retry_at_ms.load(std::memory_order_acquire);
-}
-
 void Coordinator::MarkReplicaFailure(Replica* replica) {
   const uint32_t failures =
       replica->consecutive_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -1236,82 +1087,11 @@ bool Coordinator::HedgeDelay(const Shard& shard,
   return true;
 }
 
-void Coordinator::WriteReplyFrame(
-    ClientConn* conn, const MessageHeader& req, const Status& status,
-    uint32_t extra_flags, const std::function<void(WireWriter*)>& encode_body) {
-  std::vector<uint8_t> payload;
-  WireWriter w(&payload);
-  MessageHeader header;
-  header.type = req.type;
-  header.flags = protocol::kFlagReply | extra_flags;
-  header.request_id = req.request_id;
-  protocol::EncodeMessageHeader(header, &w);
-  protocol::EncodeStatus(status, &w);
-  if (status.ok() && encode_body) encode_body(&w);
-  // Writes on one connection come only from its own handler thread, so
-  // replies never interleave. A failed write surfaces on the next read.
-  uint64_t wire_bytes = 0;
-  (void)protocol::WriteFrame(&conn->sock, IoDeadline::After(30000), payload,
-                             &wire_bytes);
-  counters_.bytes_out.fetch_add(wire_bytes, std::memory_order_relaxed);
-}
-
-void Coordinator::RecordReply(MessageType type,
-                              std::chrono::steady_clock::time_point arrival,
-                              const Status& status) {
-  const size_t idx = protocol::TypeIndex(type);
-  if (idx >= protocol::kNumRequestTypes) return;
-  const auto elapsed = std::chrono::steady_clock::now() - arrival;
-  latency_us_[idx].Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()));
-  if (status.ok()) {
-    counters_.replies_ok.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.replies_error.fetch_add(1, std::memory_order_relaxed);
-    counters_.type_errors[idx].fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-protocol::ServerStatsSnapshot Coordinator::Stats() const {
-  protocol::ServerStatsSnapshot out;
-  out.connections_accepted =
-      counters_.connections_accepted.load(std::memory_order_relaxed);
-  out.connections_closed =
-      counters_.connections_closed.load(std::memory_order_relaxed);
-  out.protocol_errors =
-      counters_.protocol_errors.load(std::memory_order_relaxed);
-  out.requests_total = counters_.requests_total.load(std::memory_order_relaxed);
-  out.replies_ok = counters_.replies_ok.load(std::memory_order_relaxed);
-  out.replies_error = counters_.replies_error.load(std::memory_order_relaxed);
-  out.rejected_overload =
-      counters_.rejected_overload.load(std::memory_order_relaxed);
-  out.rejected_draining =
-      counters_.rejected_draining.load(std::memory_order_relaxed);
-  out.bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  out.bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  out.in_flight_peak = counters_.in_flight_peak.load(std::memory_order_relaxed);
-  out.deadline_timeouts =
-      counters_.deadline_timeouts.load(std::memory_order_relaxed);
-  out.partial_replies =
-      counters_.partial_replies.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < protocol::kNumRequestTypes; ++i) {
-    const Histogram::Snapshot snap = latency_us_[i].TakeSnapshot();
-    protocol::RequestTypeStats& t = out.per_type[i];
-    t.count = snap.count;
-    t.errors = counters_.type_errors[i].load(std::memory_order_relaxed);
-    t.p50_us = snap.ValueAtPercentile(50);
-    t.p95_us = snap.ValueAtPercentile(95);
-    t.p99_us = snap.ValueAtPercentile(99);
-    t.max_us = snap.ValueAtPercentile(100);
-    t.mean_us = snap.Mean();
-  }
-  out.shards.reserve(shards_.size());
+void Coordinator::FillStats(protocol::ServerStatsSnapshot* out) const {
+  out->shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     protocol::ShardStatsEntry entry;
     entry.replicas = static_cast<uint32_t>(shard->replicas.size());
-    for (const auto& replica : shard->replicas) {
-      if (ReplicaHealthy(*replica)) ++entry.healthy_replicas;
-    }
     for (const auto& replica : shard->replicas) {
       const uint32_t failures =
           replica->consecutive_failures.load(std::memory_order_acquire);
@@ -1323,6 +1103,8 @@ protocol::ServerStatsSnapshot Coordinator::Stats() const {
         ++entry.half_open_breakers;
       }
     }
+    // Healthy = breaker not open: closed, or half-open (a probe may run).
+    entry.healthy_replicas = entry.replicas - entry.open_breakers;
     entry.requests = shard->requests.load(std::memory_order_relaxed);
     entry.backend_errors = shard->backend_errors.load(std::memory_order_relaxed);
     entry.failovers = shard->failovers.load(std::memory_order_relaxed);
@@ -1334,9 +1116,8 @@ protocol::ServerStatsSnapshot Coordinator::Stats() const {
     const Histogram::Snapshot snap = shard->latency_us.TakeSnapshot();
     entry.p50_us = snap.ValueAtPercentile(50);
     entry.p99_us = snap.ValueAtPercentile(99);
-    out.shards.push_back(entry);
+    out->shards.push_back(entry);
   }
-  return out;
 }
 
 }  // namespace mds

@@ -3,20 +3,17 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/result.h"
 #include "common/rng.h"
-#include "common/socket.h"
 #include "server/client.h"
+#include "server/front_end.h"
 #include "server/protocol.h"
 
 namespace mds {
@@ -129,10 +126,10 @@ protocol::QueryReply MergeQueryReplies(
 
 // ---------------------------------------------------------------------------
 
-/// mdsc — the shard coordinator: a server-shaped front end that speaks the
-/// exact mdsd wire protocol to its clients and fans every query out to N
+/// mdsc — the shard coordinator: behind mdsd's own wire front end (so its
+/// clients speak the exact mdsd protocol), it fans every query out to N
 /// backend shards (each possibly replicated) over pooled QueryClient
-/// connections, merging the replies.
+/// connections and merges the replies.
 ///
 /// Routing and merge semantics (DESIGN.md "Scale-out"):
 ///  - kPointCount / kBoxQuery: scatter to every shard unchanged (the limit
@@ -166,48 +163,54 @@ protocol::QueryReply MergeQueryReplies(
 /// merged reply from the surviving shards (kFlagPartial + kFlagDegraded,
 /// shard coverage on the wire) when a shard is exhausted.
 ///
-/// Hedging: while a shard's primary attempt is outstanding, the fan-out
-/// waits the hedge delay (fixed, or the shard's observed p99); on expiry
-/// a second attempt starts on the next replica, and the first success
-/// wins. Hedges fired/won are counted per shard.
+/// Hedging: when a shard's primary attempt is launched, a hedge timer is
+/// armed for the hedge delay (fixed, or the shard's observed p99); if the
+/// call is still open when it fires, a second attempt starts on the next
+/// replica, and the first success wins. Hedges fired/won are counted per
+/// shard.
 ///
-/// Threading model: one blocking accept thread plus one handler thread
-/// per client connection (the coordinator holds no dataset and does no
-/// engine work — its per-connection state is one stack, and a handler
-/// spends its life blocked on the scatter anyway); sub-requests run on a
-/// shared fan-out thread pool so one request's shards proceed in
-/// parallel. Graceful drain mirrors mdsd: RequestDrain() sheds new query
-/// requests with kUnavailable + kFlagDraining while admitted fan-outs
-/// complete; Shutdown() drains, stops the acceptor, shuts the read side
-/// of every client connection (in-flight replies still flush) and joins.
-class Coordinator {
+/// Threading model: the coordinator is the scatter handler behind the
+/// shared wire front end (server/front_end.h) — the same reactor, framing,
+/// error replies, admission control, drain and stats counters as mdsd, on
+/// one I/O thread. Execute decodes an admitted request, submits one
+/// attempt job per shard to a shared fan-out thread pool and returns; the
+/// attempt that completes the last shard call merges the replies and
+/// sends the reply, so no thread ever waits on a gather. Hedge timers run
+/// on the same pool at their exact deadline, and a kReload broadcast (which
+/// opens fresh connections and may take seconds) runs there too, off the
+/// I/O thread. Backend legs are blocking QueryClient exchanges on the
+/// pool. Graceful drain mirrors mdsd: RequestDrain() stops accepting and
+/// sheds new requests with kUnavailable + kFlagDraining while admitted
+/// fan-outs complete; Shutdown() waits for them, joins the pool, then
+/// flushes replies and closes every client connection.
+class Coordinator : private FrontEnd::Handler {
  public:
   Coordinator(const ShardMap& map, const CoordinatorConfig& config);
-  ~Coordinator();
+  ~Coordinator() override;
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Probes every shard (first reachable replica wins), validates that
-  /// dimensions agree across shards, binds the port and starts the accept
-  /// thread. Fails if any shard has no reachable replica.
+  /// dimensions agree across shards, binds the port and starts serving.
+  /// Fails if any shard has no reachable replica.
   Status Start();
 
   /// Bound port (valid after Start).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return front_.port(); }
 
-  bool draining() const { return state_.load() != State::kRunning; }
+  bool draining() const { return front_.draining(); }
 
-  /// Stops accepting connections and sheds new query requests; admitted
+  /// Stops accepting connections and sheds new requests; admitted
   /// fan-outs complete. Safe to call more than once.
-  void RequestDrain();
+  void RequestDrain() { front_.RequestDrain(); }
 
   /// Full graceful stop. Idempotent.
   void Shutdown();
 
   /// The same snapshot a kStats request returns (front-end counters plus
   /// per-shard routing counters).
-  protocol::ServerStatsSnapshot Stats() const;
+  protocol::ServerStatsSnapshot Stats() const { return front_.Stats(); }
 
   /// Total rows served across shards / their common dimension (valid
   /// after Start; served_rows can move when a kReload lands a new
@@ -216,7 +219,7 @@ class Coordinator {
   uint32_t dim() const { return dim_; }
 
  private:
-  enum class State { kRunning, kDraining, kStopped };
+  using Request = FrontEnd::Request;
 
   /// One backend replica: its address, a small pool of idle connections,
   /// and circuit-breaker state. The breaker is derived state:
@@ -240,7 +243,7 @@ class Coordinator {
   struct Shard {
     std::vector<std::unique_ptr<Replica>> replicas;
     /// From the Start() probe; re-stamped by a successful kReload
-    /// broadcast (handler threads read it while queries validate k).
+    /// broadcast (the I/O thread reads it while queries validate k).
     std::atomic<uint64_t> served_rows{0};
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> backend_errors{0};
@@ -287,11 +290,10 @@ class Coordinator {
   struct ShardCall {
     Status status = Status::OK();
     SubReply reply;
+    uint32_t k = 0;        ///< kNN k for this shard: min(k, shard rows)
     bool done = false;     ///< a success landed, or every attempt failed
     bool hedged = false;   ///< a hedge attempt has been launched
     int outstanding = 0;   ///< attempts still running
-    std::chrono::steady_clock::time_point hedge_at;
-    bool hedge_possible = false;
     /// Clients with an exchange in flight for this call, registered under
     /// Scatter::mu. Whichever attempt completes the call Abort()s the
     /// rest, so a losing hedge leg fails its read promptly instead of
@@ -299,34 +301,28 @@ class Coordinator {
     std::vector<QueryClient*> inflight;
   };
 
-  /// One client request's scatter state, shared by the handler thread and
-  /// the attempt jobs.
+  /// One client request's scatter state, shared by its attempt jobs and
+  /// hedge timers; the attempt that completes the last call replies.
   struct Scatter {
+    Request client;
+    SubRequest req;
     std::mutex mu;
-    std::condition_variable cv;
     std::vector<ShardCall> calls;
     size_t done_count = 0;
   };
 
   class FanoutPool;
-  struct ClientConn;
 
-  void AcceptLoop();
-  void HandleConnection(std::shared_ptr<ClientConn> conn);
-  /// Handles one decoded request frame; returns false when the connection
-  /// must close (protocol violation).
-  bool HandleFrame(ClientConn* conn, std::vector<uint8_t> payload);
-  void HandleHealth(ClientConn* conn, const protocol::MessageHeader& header);
-  void HandleStats(ClientConn* conn, const protocol::MessageHeader& header);
-  /// Broadcasts a decoded kReload to every replica of every shard; on
-  /// success re-stamps the per-shard and total served_rows.
-  void HandleReload(ClientConn* conn, const protocol::MessageHeader& header,
-                    const protocol::ReloadRequest& request,
-                    uint32_t deadline_ms);
-  /// Decode, validate, scatter, merge, reply for one query request.
-  void HandleQuery(ClientConn* conn, const protocol::MessageHeader& header,
-                   const std::vector<uint8_t>& payload, size_t body_offset,
-                   uint32_t deadline_ms);
+  // --- FrontEnd::Handler -------------------------------------------------
+  void FillHealth(protocol::HealthReply* reply) const override;
+  void FillStats(protocol::ServerStatsSnapshot* stats) const override;
+  /// Decodes each admitted request and starts its fan-out (or queues its
+  /// reload broadcast); returns without waiting for any backend.
+  void Execute(FrontEnd::Batch batch) override;
+
+  /// Broadcasts a kReload to every replica of every shard; on success
+  /// re-stamps the per-shard and total served_rows. Runs on the pool.
+  void HandleReload(const Request& client);
 
   /// Decodes and validates the request body into a SubRequest template
   /// (per-shard k is filled in at scatter time).
@@ -342,22 +338,27 @@ class Coordinator {
     bool partial = false;    ///< answered < total and the reply is usable
   };
 
-  /// Runs the scatter-gather for one validated request. On success the
-  /// merged reply is in *merged / *neighbors (by type) and *outcome says
-  /// which shards contributed (outcome->partial marks a degraded merge of
-  /// the survivors, possible only when req.allow_partial).
-  Status ScatterGather(const SubRequest& req, protocol::QueryReply* merged,
-                       std::vector<protocol::WireNeighbor>* neighbors,
-                       ScatterOutcome* outcome);
+  /// Submits one attempt per shard and arms the hedge timers.
+  void StartScatter(std::shared_ptr<Scatter> scatter);
+  /// Hedge timer: launches a second attempt on the shard's next replica
+  /// if the call is still open and the deadline and retry budgets allow.
+  void FireHedge(const std::shared_ptr<Scatter>& scatter, size_t shard_index);
+  /// Merges a scatter whose every call is done and replies to the client.
+  void CompleteScatter(Scatter* scatter);
+  /// The merge step of CompleteScatter. On success the merged reply is in
+  /// *merged / *neighbors (by type) and *outcome says which shards
+  /// contributed (outcome->partial marks a degraded merge of the
+  /// survivors, possible only when the request allows partial replies).
+  Status MergeScatter(Scatter* scatter, protocol::QueryReply* merged,
+                      std::vector<protocol::WireNeighbor>* neighbors,
+                      ScatterOutcome* outcome);
 
   /// One attempt: walk the shard's replicas starting at replica_offset,
   /// failing over on retryable errors while the deadline and retry
-  /// budgets allow, and complete the ShardCall. The request is shared
-  /// because a losing hedge can outlive the client request's stack frame.
-  void RunAttempt(size_t shard_index, size_t replica_offset,
-                  std::shared_ptr<const SubRequest> req, uint32_t k_for_shard,
-                  std::shared_ptr<Scatter> scatter, size_t call_index,
-                  bool is_hedge);
+  /// budgets allow, and complete the shard's call. The attempt that
+  /// completes the scatter's last call also completes the scatter.
+  void RunAttempt(const std::shared_ptr<Scatter>& scatter, size_t shard_index,
+                  size_t replica_offset, bool is_hedge);
   /// One replica exchange under `leg_options` (the per-leg deadline
   /// share). Returns the backend's status; *aborted reports that another
   /// attempt completed the call while this exchange ran — an aborted
@@ -390,20 +391,12 @@ class Coordinator {
 
   Result<QueryClient> AcquireClient(Replica* replica);
   void ReleaseClient(Replica* replica, QueryClient client);
-  bool ReplicaHealthy(const Replica& replica) const;
   void MarkReplicaFailure(Replica* replica);
   void MarkReplicaSuccess(Replica* replica);
 
   /// Hedge delay for a shard; returns false when hedging should not fire
   /// (single replica, or adaptive mode without enough samples).
   bool HedgeDelay(const Shard& shard, std::chrono::microseconds* delay) const;
-
-  void WriteReplyFrame(ClientConn* conn, const protocol::MessageHeader& req,
-                       const Status& status, uint32_t extra_flags,
-                       const std::function<void(WireWriter*)>& encode_body);
-  void RecordReply(protocol::MessageType type,
-                   std::chrono::steady_clock::time_point arrival,
-                   const Status& status);
 
   CoordinatorConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -412,48 +405,16 @@ class Coordinator {
   /// Serializes whole-fleet reload broadcasts (mirrors QueryServer's
   /// per-server reload_mu_).
   std::mutex reload_mu_;
-  uint16_t port_ = 0;
 
-  TcpListener listener_;
-  std::thread accept_thread_;
   std::unique_ptr<FanoutPool> fanout_;
-
-  std::atomic<State> state_{State::kStopped};
   bool started_ = false;
-  std::atomic<bool> stop_accept_{false};
-
-  // Live client connections, so Shutdown can unblock their read loops.
-  mutable std::mutex conns_mu_;
-  std::vector<std::shared_ptr<ClientConn>> conns_;
-  std::vector<std::thread> handler_threads_;
-
-  std::atomic<size_t> in_flight_{0};
-
-  struct Counters {
-    std::atomic<uint64_t> connections_accepted{0};
-    std::atomic<uint64_t> connections_closed{0};
-    std::atomic<uint64_t> protocol_errors{0};
-    std::atomic<uint64_t> requests_total{0};
-    std::atomic<uint64_t> replies_ok{0};
-    std::atomic<uint64_t> replies_error{0};
-    std::atomic<uint64_t> rejected_overload{0};
-    std::atomic<uint64_t> rejected_draining{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
-    std::atomic<uint64_t> in_flight_peak{0};
-    /// Backend legs whose read deadline fired (slow-but-alive replicas).
-    std::atomic<uint64_t> deadline_timeouts{0};
-    /// Replies answered from a strict subset of shards (kFlagPartial).
-    std::atomic<uint64_t> partial_replies{0};
-    std::atomic<uint64_t> type_errors[protocol::kNumRequestTypes] = {};
-  };
-  mutable Counters counters_;
-  Histogram latency_us_[protocol::kNumRequestTypes];
 
   /// Backoff jitter source (common/rng.h is not thread-safe; attempts on
   /// many fan-out threads mark failures concurrently).
   mutable std::mutex rng_mu_;
   mutable Rng rng_;
+
+  FrontEnd front_;  // last: its threads stop before the rest is destroyed
 };
 
 }  // namespace mds

@@ -119,7 +119,9 @@ class WireReader {
   }
 
   void GetRaw(void* out, size_t n) {
-    if (!status_.ok()) return;
+    // n == 0 (an empty vector) may come with out == nullptr, which memcpy
+    // and memset must never see, even for zero bytes.
+    if (!status_.ok() || n == 0) return;
     if (n > remaining()) {
       Fail("read past end of payload");
       std::memset(out, 0, n);

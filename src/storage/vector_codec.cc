@@ -18,7 +18,9 @@ void RawVectorCodec::Encode(const float* v, size_t n,
   out->resize(EncodedSize(n));
   uint32_t count = static_cast<uint32_t>(n);
   std::memcpy(out->data(), &count, 4);
-  std::memcpy(out->data() + 4, v, 4 * n);
+  // An empty vector may arrive as v == nullptr, which memcpy must never
+  // see, even for zero bytes.
+  if (n != 0) std::memcpy(out->data() + 4, v, 4 * n);
 }
 
 Result<std::vector<float>> RawVectorCodec::Decode(const uint8_t* data,
@@ -30,7 +32,9 @@ Result<std::vector<float>> RawVectorCodec::Decode(const uint8_t* data,
     return Status::Corruption("RawVectorCodec: truncated payload");
   }
   std::vector<float> out(count);
-  std::memcpy(out.data(), data + 4, 4 * static_cast<size_t>(count));
+  if (count != 0) {
+    std::memcpy(out.data(), data + 4, 4 * static_cast<size_t>(count));
+  }
   return out;
 }
 
@@ -45,7 +49,7 @@ Result<size_t> RawVectorCodec::DecodeInto(const uint8_t* data, size_t len,
   if (len < 4 + 4 * static_cast<size_t>(count)) {
     return Status::Corruption("RawVectorCodec: truncated payload");
   }
-  std::memcpy(out, data + 4, 4 * static_cast<size_t>(count));
+  if (count != 0) std::memcpy(out, data + 4, 4 * static_cast<size_t>(count));
   return static_cast<size_t>(count);
 }
 

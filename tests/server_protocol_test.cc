@@ -1,7 +1,8 @@
-// Protocol robustness: the mdsd wire codec and server must survive
-// truncated frames, oversized length prefixes, corrupted payloads, unknown
-// versions/types and slow-loris partial writes with clean connection
-// closes — never a crash, a hang, or a desynchronized reply. These tests
+// Protocol robustness: the wire codec and both servers (mdsd, and mdsc in
+// front of mdsd shards) must survive truncated frames, oversized length
+// prefixes, corrupted payloads, unknown versions/types and slow-loris
+// partial writes with clean connection closes — never a crash, a hang, or
+// a desynchronized reply. These tests
 // speak raw bytes (no QueryClient) so they can violate the protocol on
 // purpose; CI runs them under ASan and TSan.
 
@@ -9,13 +10,19 @@
 
 #include <sys/socket.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/crc32c.h"
 #include "server/client.h"
+#include "server/coordinator.h"
 #include "server/dataset.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -253,34 +260,123 @@ TEST(ProtocolCodec, RejectsBadDimensionAndParameters) {
   }
 }
 
-// --- Live-server abuse ------------------------------------------------------
+// --- Live-server abuse, run against both binaries ---------------------------
+//
+// mdsd and mdsc serve through the same wire front end, so every wire-abuse
+// case runs against both: an mdsd QueryServer over the whole catalog, and
+// an mdsc Coordinator over two kd-subtree shard backends of the same
+// catalog.
 
-class ServerProtocolTest : public ::testing::Test {
+enum class Binary { kMdsd, kMdsc };
+
+std::string BinaryName(const ::testing::TestParamInfo<Binary>& info) {
+  return info.param == Binary::kMdsd ? "mdsd" : "mdsc";
+}
+
+/// The front-end knobs both binaries expose (ServerConfig and
+/// CoordinatorConfig fields of the same name).
+struct FrontConfig {
+  size_t max_in_flight = 64;
+  size_t max_connections = 256;
+  uint32_t idle_timeout_ms = 1000;  // fast slow-loris verdicts
+};
+
+/// One running binary under test.
+struct Served {
+  std::unique_ptr<QueryServer> server;
+  std::unique_ptr<Coordinator> coordinator;
+
+  uint16_t port() const {
+    return server ? server->port() : coordinator->port();
+  }
+  protocol::ServerStatsSnapshot Stats() const {
+    return server ? server->Stats() : coordinator->Stats();
+  }
+  void Shutdown() {
+    if (server) server->Shutdown();
+    if (coordinator) coordinator->Shutdown();
+  }
+};
+
+class ServerProtocolTest : public ::testing::TestWithParam<Binary> {
  protected:
-  static void SetUpTestSuite() {
-    DatasetConfig config;
-    config.num_rows = 20000;
-    auto built = ServedDataset::Build(config);
-    ASSERT_TRUE(built.ok());
-    dataset_ = new ServedDataset(std::move(*built));
+  static constexpr uint64_t kRows = 20000;
 
-    ServerConfig server_config;
-    server_config.num_workers = 2;
-    server_config.idle_timeout_ms = 1000;  // fast slow-loris verdicts
-    server_ = new QueryServer(dataset_, server_config);
-    ASSERT_TRUE(server_->Start().ok());
+  static void SetUpTestSuite() {
+    dataset_ = Build(0, 1);
+    for (uint32_t i = 0; i < 2; ++i) {
+      shards_[i] = Build(i, 2);
+      ServerConfig config;
+      config.num_workers = 1;
+      backends_[i] = new QueryServer(shards_[i], config);
+      ASSERT_TRUE(backends_[i]->Start().ok());
+    }
+    mdsd_ = new Served(Launch(Binary::kMdsd, FrontConfig{}));
+    mdsc_ = new Served(Launch(Binary::kMdsc, FrontConfig{}));
   }
 
   static void TearDownTestSuite() {
-    server_->Shutdown();
-    delete server_;
-    delete dataset_;
-    server_ = nullptr;
-    dataset_ = nullptr;
+    for (Served** served : {&mdsd_, &mdsc_}) {
+      (*served)->Shutdown();
+      delete *served;
+      *served = nullptr;
+    }
+    for (auto& backend : backends_) {
+      backend->Shutdown();
+      delete backend;
+      backend = nullptr;
+    }
+    for (auto& shard : shards_) shard.reset();
+    dataset_.reset();
   }
 
-  static Socket MustConnect() {
-    auto sock = TcpConnect("127.0.0.1", server_->port(), 5000);
+  static std::shared_ptr<ServedDataset> Build(uint32_t index,
+                                              uint32_t count) {
+    DatasetConfig config;
+    config.num_rows = kRows;
+    config.shard_index = index;
+    config.shard_count = count;
+    auto built = ServedDataset::Build(config);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return std::make_shared<ServedDataset>(std::move(*built));
+  }
+
+  /// Starts `binary` with the given front-end knobs: mdsd over the whole
+  /// catalog, or mdsc over the suite's two shard backends.
+  static Served Launch(Binary binary, const FrontConfig& front) {
+    Served served;
+    if (binary == Binary::kMdsd) {
+      ServerConfig config;
+      config.num_workers = 2;
+      config.max_in_flight = front.max_in_flight;
+      config.max_connections = front.max_connections;
+      config.idle_timeout_ms = front.idle_timeout_ms;
+      served.server = std::make_unique<QueryServer>(dataset_, config);
+      EXPECT_TRUE(served.server->Start().ok());
+    } else {
+      ShardMap map;
+      for (QueryServer* backend : backends_) {
+        map.shards.push_back({{"127.0.0.1", backend->port()}});
+      }
+      CoordinatorConfig config;
+      config.max_in_flight = front.max_in_flight;
+      config.max_connections = front.max_connections;
+      config.idle_timeout_ms = front.idle_timeout_ms;
+      served.coordinator = std::make_unique<Coordinator>(map, config);
+      const Status started = served.coordinator->Start();
+      EXPECT_TRUE(started.ok()) << started.ToString();
+    }
+    return served;
+  }
+
+  /// The suite's long-lived instance of the binary under test.
+  static Served& target() {
+    return GetParam() == Binary::kMdsd ? *mdsd_ : *mdsc_;
+  }
+  static uint16_t port() { return target().port(); }
+
+  static Socket MustConnect(uint16_t to = port()) {
+    auto sock = TcpConnect("127.0.0.1", to, 5000);
     EXPECT_TRUE(sock.ok()) << sock.status().ToString();
     return std::move(*sock);
   }
@@ -295,21 +391,62 @@ class ServerProtocolTest : public ::testing::Test {
 
   /// The server must still answer a well-formed request after abuse.
   static void ExpectServerHealthy() {
-    auto client = QueryClient::Connect("127.0.0.1", server_->port());
+    auto client = QueryClient::Connect("127.0.0.1", port());
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     auto health = client->Health();
     ASSERT_TRUE(health.ok()) << health.status().ToString();
     EXPECT_EQ(health->served_rows, dataset_->num_rows());
   }
 
-  static ServedDataset* dataset_;
-  static QueryServer* server_;
+  /// A framed box-like request over the cube [-half_width, half_width]^dim.
+  static std::vector<uint8_t> BoxFrame(MessageType type, uint64_t request_id,
+                                       double half_width) {
+    std::vector<uint8_t> payload;
+    WireWriter pw(&payload);
+    MessageHeader header;
+    header.type = type;
+    header.request_id = request_id;
+    EncodeMessageHeader(header, &pw);
+    pw.PutU32(0);  // deadline
+    protocol::BoxQueryRequest req;
+    req.lo.assign(dataset_->dim(), -half_width);
+    req.hi.assign(dataset_->dim(), half_width);
+    EncodeBoxQueryRequest(req, &pw);
+    std::vector<uint8_t> frame;
+    protocol::AppendFrame(payload, &frame);
+    return frame;
+  }
+
+  /// Reads one reply frame and decodes its header and status.
+  static void ReadReply(Socket* sock, MessageHeader* header, Status* status,
+                        std::vector<uint8_t>* raw = nullptr) {
+    std::vector<uint8_t> reply;
+    ASSERT_TRUE(
+        protocol::ReadFrame(sock, IoDeadline::After(10000), &reply).ok());
+    WireReader r(reply);
+    ASSERT_TRUE(DecodeMessageHeader(&r, header).ok());
+    ASSERT_TRUE(protocol::DecodeStatus(&r, status).ok());
+    if (raw != nullptr) *raw = std::move(reply);
+  }
+
+  static std::shared_ptr<ServedDataset> dataset_;
+  static std::shared_ptr<ServedDataset> shards_[2];
+  static QueryServer* backends_[2];
+  static Served* mdsd_;
+  static Served* mdsc_;
 };
 
-ServedDataset* ServerProtocolTest::dataset_ = nullptr;
-QueryServer* ServerProtocolTest::server_ = nullptr;
+std::shared_ptr<ServedDataset> ServerProtocolTest::dataset_;
+std::shared_ptr<ServedDataset> ServerProtocolTest::shards_[2];
+QueryServer* ServerProtocolTest::backends_[2] = {};
+Served* ServerProtocolTest::mdsd_ = nullptr;
+Served* ServerProtocolTest::mdsc_ = nullptr;
 
-TEST_F(ServerProtocolTest, BadMagicClosesConnection) {
+INSTANTIATE_TEST_SUITE_P(Binaries, ServerProtocolTest,
+                         ::testing::Values(Binary::kMdsd, Binary::kMdsc),
+                         BinaryName);
+
+TEST_P(ServerProtocolTest, BadMagicClosesConnection) {
   Socket sock = MustConnect();
   std::vector<uint8_t> junk(64, 0xAB);
   ASSERT_TRUE(
@@ -318,7 +455,7 @@ TEST_F(ServerProtocolTest, BadMagicClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, OversizedLengthPrefixClosesConnection) {
+TEST_P(ServerProtocolTest, OversizedLengthPrefixClosesConnection) {
   Socket sock = MustConnect();
   std::vector<uint8_t> frame;
   WireWriter w(&frame);
@@ -331,7 +468,7 @@ TEST_F(ServerProtocolTest, OversizedLengthPrefixClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, BadCrcClosesConnection) {
+TEST_P(ServerProtocolTest, BadCrcClosesConnection) {
   std::vector<uint8_t> payload;
   WireWriter pw(&payload);
   EncodeMessageHeader(MessageHeader{}, &pw);
@@ -348,7 +485,7 @@ TEST_F(ServerProtocolTest, BadCrcClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, UnknownVersionClosesConnection) {
+TEST_P(ServerProtocolTest, UnknownVersionClosesConnection) {
   std::vector<uint8_t> payload;
   WireWriter pw(&payload);
   MessageHeader header;
@@ -366,7 +503,7 @@ TEST_F(ServerProtocolTest, UnknownVersionClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, UnknownTypeGetsUnimplementedReply) {
+TEST_P(ServerProtocolTest, UnknownTypeGetsUnimplementedReply) {
   std::vector<uint8_t> payload;
   WireWriter pw(&payload);
   MessageHeader header;
@@ -381,19 +518,45 @@ TEST_F(ServerProtocolTest, UnknownTypeGetsUnimplementedReply) {
   ASSERT_TRUE(
       sock.WriteFull(frame.data(), frame.size(), IoDeadline::After(5000)).ok());
 
-  std::vector<uint8_t> reply;
-  ASSERT_TRUE(
-      protocol::ReadFrame(&sock, IoDeadline::After(5000), &reply).ok());
-  WireReader r(reply);
   MessageHeader reply_header;
-  ASSERT_TRUE(DecodeMessageHeader(&r, &reply_header).ok());
-  EXPECT_EQ(reply_header.request_id, 5u);
   Status remote;
-  ASSERT_TRUE(protocol::DecodeStatus(&r, &remote).ok());
+  ASSERT_NO_FATAL_FAILURE(ReadReply(&sock, &reply_header, &remote));
+  EXPECT_EQ(reply_header.request_id, 5u);
   EXPECT_EQ(remote.code(), StatusCode::kUnimplemented);
 }
 
-TEST_F(ServerProtocolTest, TruncatedBodyGetsErrorReply) {
+TEST_P(ServerProtocolTest, MissingDeadlinePrefixGetsErrorAndKeepsConnection) {
+  // A well-framed request that stops right after its header: no deadline
+  // prefix. The reply is InvalidArgument for that request alone; the
+  // connection stays usable for the next one.
+  std::vector<uint8_t> payload;
+  WireWriter pw(&payload);
+  MessageHeader header;
+  header.type = MessageType::kPointCount;
+  header.request_id = 9;
+  EncodeMessageHeader(header, &pw);
+
+  std::vector<uint8_t> frame;
+  protocol::AppendFrame(payload, &frame);
+  Socket sock = MustConnect();
+  ASSERT_TRUE(
+      sock.WriteFull(frame.data(), frame.size(), IoDeadline::After(5000)).ok());
+
+  MessageHeader reply_header;
+  Status remote;
+  ASSERT_NO_FATAL_FAILURE(ReadReply(&sock, &reply_header, &remote));
+  EXPECT_EQ(reply_header.request_id, 9u);
+  EXPECT_EQ(remote.code(), StatusCode::kInvalidArgument);
+
+  const std::vector<uint8_t> next = BoxFrame(MessageType::kPointCount, 10, 1.0);
+  ASSERT_TRUE(
+      sock.WriteFull(next.data(), next.size(), IoDeadline::After(5000)).ok());
+  ASSERT_NO_FATAL_FAILURE(ReadReply(&sock, &reply_header, &remote));
+  EXPECT_EQ(reply_header.request_id, 10u);
+  EXPECT_TRUE(remote.ok()) << remote.ToString();
+}
+
+TEST_P(ServerProtocolTest, TruncatedBodyGetsErrorReply) {
   // Well-framed payload whose body stops mid-request: the frame passes CRC,
   // decode fails cleanly, and the server answers with a status instead of
   // crashing on the short buffer.
@@ -412,18 +575,14 @@ TEST_F(ServerProtocolTest, TruncatedBodyGetsErrorReply) {
   ASSERT_TRUE(
       sock.WriteFull(frame.data(), frame.size(), IoDeadline::After(5000)).ok());
 
-  std::vector<uint8_t> reply;
-  ASSERT_TRUE(
-      protocol::ReadFrame(&sock, IoDeadline::After(5000), &reply).ok());
-  WireReader r(reply);
   MessageHeader reply_header;
-  ASSERT_TRUE(DecodeMessageHeader(&r, &reply_header).ok());
   Status remote;
-  ASSERT_TRUE(protocol::DecodeStatus(&r, &remote).ok());
+  ASSERT_NO_FATAL_FAILURE(ReadReply(&sock, &reply_header, &remote));
+  EXPECT_EQ(reply_header.request_id, 6u);
   EXPECT_FALSE(remote.ok());
 }
 
-TEST_F(ServerProtocolTest, SlowLorisPartialFrameTimesOutCleanly) {
+TEST_P(ServerProtocolTest, SlowLorisPartialFrameTimesOutCleanly) {
   // Send half a valid frame, then stall. The per-frame idle deadline
   // (1 s in this suite) must reap the connection; the server stays up.
   std::vector<uint8_t> payload;
@@ -441,18 +600,305 @@ TEST_F(ServerProtocolTest, SlowLorisPartialFrameTimesOutCleanly) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, CachedReplyIsByteIdenticalOnTheWire) {
+TEST_P(ServerProtocolTest, PipelinedBurstCorrelatesByRequestId) {
+  // Raw-wire pipelining: k request frames in one write, with request ids
+  // deliberately out of ascending order. The server must answer every id
+  // exactly once, and each reply must be byte-identical to the reply the
+  // same request gets on its own connection — only the echoed request_id
+  // bytes (header [8, 16)) may differ.
+  constexpr size_t kBurst = 8;
+  const double widths[kBurst] = {0.4, 1.1, 0.2, 2.0, 0.7, 1.6, 0.9, 0.5};
+  // Shuffled ids: correlation must not assume arrival order == id order.
+  const uint64_t ids[kBurst] = {905, 901, 908, 903, 907, 902, 906, 904};
+
+  // Reference replies, one exchange at a time on a separate connection.
+  std::vector<std::vector<uint8_t>> reference(kBurst);
+  {
+    Socket sock = MustConnect();
+    for (size_t i = 0; i < kBurst; ++i) {
+      const std::vector<uint8_t> frame =
+          BoxFrame(MessageType::kBoxQuery, 700 + i, widths[i]);
+      ASSERT_TRUE(
+          sock.WriteFull(frame.data(), frame.size(), IoDeadline::After(5000))
+              .ok());
+      ASSERT_TRUE(
+          protocol::ReadFrame(&sock, IoDeadline::After(5000), &reference[i])
+              .ok());
+    }
+  }
+
+  // The pipelined burst: all frames in one write, then read them all.
+  Socket sock = MustConnect();
+  std::vector<uint8_t> burst;
+  for (size_t i = 0; i < kBurst; ++i) {
+    const std::vector<uint8_t> frame =
+        BoxFrame(MessageType::kBoxQuery, ids[i], widths[i]);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(
+      sock.WriteFull(burst.data(), burst.size(), IoDeadline::After(5000))
+          .ok());
+
+  std::vector<bool> answered(kBurst, false);
+  for (size_t n = 0; n < kBurst; ++n) {
+    std::vector<uint8_t> reply;
+    ASSERT_TRUE(
+        protocol::ReadFrame(&sock, IoDeadline::After(10000), &reply).ok());
+    WireReader r(reply);
+    MessageHeader reply_header;
+    ASSERT_TRUE(DecodeMessageHeader(&r, &reply_header).ok());
+    size_t slot = kBurst;
+    for (size_t i = 0; i < kBurst; ++i) {
+      if (ids[i] == reply_header.request_id) {
+        slot = i;
+        break;
+      }
+    }
+    ASSERT_LT(slot, kBurst) << "reply for unknown id "
+                            << reply_header.request_id;
+    EXPECT_FALSE(answered[slot]) << "duplicate reply for id " << ids[slot];
+    answered[slot] = true;
+
+    // Byte parity with the solo exchange, modulo the request_id echo.
+    const std::vector<uint8_t>& ref = reference[slot];
+    ASSERT_EQ(reply.size(), ref.size()) << "slot " << slot;
+    EXPECT_EQ(std::memcmp(reply.data(), ref.data(), 8), 0) << "slot " << slot;
+    EXPECT_EQ(std::memcmp(reply.data() + 16, ref.data() + 16,
+                          ref.size() - 16),
+              0)
+        << "slot " << slot;
+  }
+  for (size_t i = 0; i < kBurst; ++i) {
+    EXPECT_TRUE(answered[i]) << "no reply for id " << ids[i];
+  }
+  ExpectServerHealthy();
+}
+
+TEST_P(ServerProtocolTest, PeerCloseMidReplyLeavesServerServing) {
+  // A client that submits a large query and slams the connection shut (RST
+  // via zero-linger) before reading the reply must cost the server nothing
+  // but the wasted work: the reply write fails with a status — never a
+  // SIGPIPE, which would kill the whole process.
+  for (int i = 0; i < 8; ++i) {
+    Socket sock = MustConnect();
+    // Whole-table box: the largest reply this catalog can produce.
+    const std::vector<uint8_t> frame = BoxFrame(
+        MessageType::kBoxQuery, static_cast<uint64_t>(i) + 100, 100.0);
+    ASSERT_TRUE(
+        sock.WriteFull(frame.data(), frame.size(), IoDeadline::After(5000))
+            .ok());
+
+    // Half the iterations RST immediately; the rest give the server a head
+    // start so some writes fail mid-stream rather than up front.
+    if (i % 2 == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    struct linger lin;
+    lin.l_onoff = 1;
+    lin.l_linger = 0;
+    ASSERT_EQ(
+        setsockopt(sock.fd(), SOL_SOCKET, SO_LINGER, &lin, sizeof(lin)), 0);
+    sock.Close();  // RST: the server's pending write hits ECONNRESET/EPIPE
+  }
+  // The process survived every mid-reply close and still serves correctly.
+  ExpectServerHealthy();
+}
+
+TEST_P(ServerProtocolTest, AbuseBarrageLeavesServerServing) {
+  // A burst of mixed violations from several threads, then a correctness
+  // probe: the server must still answer queries with exact results.
+  const uint16_t to = port();
+  std::vector<std::thread> abusers;
+  for (int t = 0; t < 4; ++t) {
+    abusers.emplace_back([t, to] {
+      for (int i = 0; i < 8; ++i) {
+        auto sock = TcpConnect("127.0.0.1", to, 5000);
+        if (!sock.ok()) continue;
+        std::vector<uint8_t> junk((t * 8 + i) % 23 + 1,
+                                  static_cast<uint8_t>(i * 37 + t));
+        (void)sock->WriteFull(junk.data(), junk.size(),
+                              IoDeadline::After(1000));
+        // Half the abusers vanish without closing properly.
+        if (i % 2 == 0) sock->ShutdownBoth();
+      }
+    });
+  }
+  for (auto& a : abusers) a.join();
+  ExpectServerHealthy();
+}
+
+TEST_P(ServerProtocolTest, SlowReloadRunsOffTheIoThread) {
+  // A kReload whose load takes 300 ms (mdsd: its own handler; mdsc: the
+  // broadcast to its backends) must not stall the I/O thread: a health
+  // request on another connection answers while the load runs, and the
+  // reload still gets its reply — here the handler's refusal.
+  std::atomic<bool> loading{false};
+  auto slow = [&loading](const std::string&)
+      -> Result<std::shared_ptr<ServedDataset>> {
+    loading.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    return Status::Unavailable("reload refused by the test handler");
+  };
+  std::vector<QueryServer*> loaders;
+  if (GetParam() == Binary::kMdsd) {
+    loaders.push_back(mdsd_->server.get());
+  } else {
+    loaders.assign(std::begin(backends_), std::end(backends_));
+  }
+  for (QueryServer* server : loaders) server->SetReloadHandler(slow);
+
+  Status reloaded;
+  const uint16_t to = port();
+  std::thread admin([&reloaded, to] {
+    auto client = QueryClient::Connect("127.0.0.1", to);
+    reloaded = client.ok() ? client->Reload("").status() : client.status();
+  });
+  for (int i = 0; i < 500 && !loading.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(loading.load());
+
+  auto client = QueryClient::Connect("127.0.0.1", port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const auto start = std::chrono::steady_clock::now();
+  auto health = client->Health();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
+
+  admin.join();
+  EXPECT_EQ(reloaded.code(), StatusCode::kUnavailable) << reloaded.ToString();
+  for (QueryServer* server : loaders) server->SetReloadHandler(nullptr);
+}
+
+TEST_P(ServerProtocolTest, ShedBurstKeepsInFlightPeakWithinCap) {
+  // Pipelined whole-table queries on several connections against a cap of
+  // 2: the front end admits at most 2 at a time and sheds the rest with a
+  // retryable kUnavailable. Every request is answered exactly once, and
+  // the reported peak never exceeds the cap.
+  FrontConfig front;
+  front.max_in_flight = 2;
+  Served served = Launch(GetParam(), front);
+
+  constexpr size_t kConns = 4;
+  constexpr size_t kPerConn = 16;
+  std::vector<Socket> socks;
+  for (size_t c = 0; c < kConns; ++c) {
+    socks.push_back(MustConnect(served.port()));
+    std::vector<uint8_t> burst;
+    for (size_t i = 0; i < kPerConn; ++i) {
+      const std::vector<uint8_t> frame =
+          BoxFrame(MessageType::kBoxQuery, c * kPerConn + i, 100.0);
+      burst.insert(burst.end(), frame.begin(), frame.end());
+    }
+    ASSERT_TRUE(socks.back()
+                    .WriteFull(burst.data(), burst.size(),
+                               IoDeadline::After(5000))
+                    .ok());
+  }
+
+  size_t ok = 0;
+  size_t shed = 0;
+  for (Socket& sock : socks) {
+    std::vector<bool> answered(kConns * kPerConn, false);
+    for (size_t i = 0; i < kPerConn; ++i) {
+      MessageHeader header;
+      Status remote;
+      ASSERT_NO_FATAL_FAILURE(ReadReply(&sock, &header, &remote));
+      ASSERT_LT(header.request_id, answered.size());
+      EXPECT_FALSE(answered[header.request_id]);
+      answered[header.request_id] = true;
+      if (remote.ok()) {
+        ++ok;
+      } else {
+        EXPECT_EQ(remote.code(), StatusCode::kUnavailable)
+            << remote.ToString();
+        ++shed;
+      }
+    }
+  }
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(shed, 0u);
+
+  const protocol::ServerStatsSnapshot stats = served.Stats();
+  EXPECT_EQ(stats.rejected_overload, shed);
+  EXPECT_LE(stats.in_flight_peak, front.max_in_flight);
+  EXPECT_GE(stats.in_flight_peak, 1u);
+  served.Shutdown();
+}
+
+TEST_P(ServerProtocolTest, ThousandIdleConnectionsCostNoThreads) {
+  // Connection count is decoupled from thread count on both binaries: park
+  // 1000 idle connections on the single I/O thread and verify the process
+  // spawned no threads for them, while queries still answer promptly.
+  auto count_threads = [] {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("Threads:", 0) == 0) {
+        return std::stoi(line.substr(8));
+      }
+    }
+    return -1;
+  };
+
+  FrontConfig front;
+  front.max_connections = 1200;
+  front.idle_timeout_ms = 0;  // idle on purpose; don't reap them
+  Served served = Launch(GetParam(), front);
+
+  const int threads_before = count_threads();
+  ASSERT_GT(threads_before, 0);
+
+  constexpr size_t kIdle = 1000;
+  std::vector<Socket> idle;
+  idle.reserve(kIdle);
+  for (size_t i = 0; i < kIdle; ++i) {
+    auto sock = TcpConnect("127.0.0.1", served.port(), 5000);
+    ASSERT_TRUE(sock.ok()) << "connection " << i << ": "
+                           << sock.status().ToString();
+    idle.push_back(std::move(*sock));
+  }
+
+  auto client = QueryClient::Connect("127.0.0.1", served.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto health = client->Health();
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->served_rows, dataset_->num_rows());
+  const std::vector<double> lo(dataset_->dim(), -1.0);
+  const std::vector<double> hi(dataset_->dim(), 1.0);
+  auto count = client->PointCount(Box(lo, hi));
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+
+  const int threads_after = count_threads();
+  EXPECT_EQ(threads_after, threads_before)
+      << kIdle << " idle connections must not cost threads";
+  EXPECT_GE(served.Stats().connections_accepted, kIdle);
+
+  idle.clear();
+  served.Shutdown();
+}
+
+// --- mdsd only --------------------------------------------------------------
+
+TEST(ResponseCacheWire, CachedReplyIsByteIdenticalOnTheWire) {
   // A cache-enabled server must hand back the memoized reply byte for byte
   // — same payload, same CRC-able bytes — when the same request (including
   // request_id) repeats, and differ only in the echoed request_id when a
   // different id asks for the same work.
+  DatasetConfig dataset_config;
+  dataset_config.num_rows = 20000;
+  auto built = ServedDataset::Build(dataset_config);
+  ASSERT_TRUE(built.ok());
+  auto dataset = std::make_shared<ServedDataset>(std::move(*built));
+
   ServerConfig config;
   config.num_workers = 2;
   config.cache_bytes = 4u << 20;
-  QueryServer server(dataset_, config);
+  QueryServer server(dataset, config);
   ASSERT_TRUE(server.Start().ok());
 
-  const size_t dim = dataset_->dim();
+  const size_t dim = dataset->dim();
   auto make_request = [&](uint64_t request_id) {
     std::vector<uint8_t> payload;
     WireWriter pw(&payload);
@@ -500,160 +946,6 @@ TEST_F(ServerProtocolTest, CachedReplyIsByteIdenticalOnTheWire) {
   EXPECT_EQ(server.Stats().cache_hits, 2u);
 
   server.Shutdown();
-}
-
-TEST_F(ServerProtocolTest, PipelinedBurstCorrelatesByRequestId) {
-  // Raw-wire pipelining: k request frames in one write, with request ids
-  // deliberately out of ascending order. The server must answer every id
-  // exactly once, and each reply must be byte-identical to the reply the
-  // same request gets on its own connection — only the echoed request_id
-  // bytes (header [8, 16)) may differ.
-  const size_t dim = dataset_->dim();
-  auto make_request = [&](uint64_t request_id, double half_width) {
-    std::vector<uint8_t> payload;
-    WireWriter pw(&payload);
-    MessageHeader header;
-    header.type = MessageType::kBoxQuery;
-    header.request_id = request_id;
-    EncodeMessageHeader(header, &pw);
-    pw.PutU32(0);  // deadline
-    protocol::BoxQueryRequest req;
-    req.lo.assign(dim, -half_width);
-    req.hi.assign(dim, half_width);
-    EncodeBoxQueryRequest(req, &pw);
-    std::vector<uint8_t> frame;
-    protocol::AppendFrame(payload, &frame);
-    return frame;
-  };
-
-  constexpr size_t kBurst = 8;
-  const double widths[kBurst] = {0.4, 1.1, 0.2, 2.0, 0.7, 1.6, 0.9, 0.5};
-  // Shuffled ids: correlation must not assume arrival order == id order.
-  const uint64_t ids[kBurst] = {905, 901, 908, 903, 907, 902, 906, 904};
-
-  // Reference replies, one exchange at a time on a separate connection.
-  std::vector<std::vector<uint8_t>> reference(kBurst);
-  {
-    Socket sock = MustConnect();
-    for (size_t i = 0; i < kBurst; ++i) {
-      const std::vector<uint8_t> frame = make_request(700 + i, widths[i]);
-      ASSERT_TRUE(
-          sock.WriteFull(frame.data(), frame.size(), IoDeadline::After(5000))
-              .ok());
-      ASSERT_TRUE(
-          protocol::ReadFrame(&sock, IoDeadline::After(5000), &reference[i])
-              .ok());
-    }
-  }
-
-  // The pipelined burst: all frames in one write, then read them all.
-  Socket sock = MustConnect();
-  std::vector<uint8_t> burst;
-  for (size_t i = 0; i < kBurst; ++i) {
-    const std::vector<uint8_t> frame = make_request(ids[i], widths[i]);
-    burst.insert(burst.end(), frame.begin(), frame.end());
-  }
-  ASSERT_TRUE(
-      sock.WriteFull(burst.data(), burst.size(), IoDeadline::After(5000))
-          .ok());
-
-  std::vector<bool> answered(kBurst, false);
-  for (size_t n = 0; n < kBurst; ++n) {
-    std::vector<uint8_t> reply;
-    ASSERT_TRUE(
-        protocol::ReadFrame(&sock, IoDeadline::After(10000), &reply).ok());
-    WireReader r(reply);
-    MessageHeader reply_header;
-    ASSERT_TRUE(DecodeMessageHeader(&r, &reply_header).ok());
-    size_t slot = kBurst;
-    for (size_t i = 0; i < kBurst; ++i) {
-      if (ids[i] == reply_header.request_id) {
-        slot = i;
-        break;
-      }
-    }
-    ASSERT_LT(slot, kBurst) << "reply for unknown id "
-                            << reply_header.request_id;
-    EXPECT_FALSE(answered[slot]) << "duplicate reply for id " << ids[slot];
-    answered[slot] = true;
-
-    // Byte parity with the solo exchange, modulo the request_id echo.
-    const std::vector<uint8_t>& ref = reference[slot];
-    ASSERT_EQ(reply.size(), ref.size()) << "slot " << slot;
-    EXPECT_EQ(std::memcmp(reply.data(), ref.data(), 8), 0) << "slot " << slot;
-    EXPECT_EQ(std::memcmp(reply.data() + 16, ref.data() + 16,
-                          ref.size() - 16),
-              0)
-        << "slot " << slot;
-  }
-  for (size_t i = 0; i < kBurst; ++i) {
-    EXPECT_TRUE(answered[i]) << "no reply for id " << ids[i];
-  }
-  ExpectServerHealthy();
-}
-
-TEST_F(ServerProtocolTest, PeerCloseMidReplyLeavesServerServing) {
-  // A client that submits a large query and slams the connection shut (RST
-  // via zero-linger) before reading the reply must cost the server nothing
-  // but the wasted work: the reply write fails with a status — never a
-  // SIGPIPE, which would kill the whole process.
-  const size_t dim = dataset_->dim();
-  for (int i = 0; i < 8; ++i) {
-    auto sock = TcpConnect("127.0.0.1", server_->port(), 5000);
-    ASSERT_TRUE(sock.ok());
-    std::vector<uint8_t> payload;
-    WireWriter pw(&payload);
-    MessageHeader header;
-    header.type = MessageType::kBoxQuery;
-    header.request_id = static_cast<uint64_t>(i) + 100;
-    EncodeMessageHeader(header, &pw);
-    pw.PutU32(0);
-    protocol::BoxQueryRequest req;  // whole-table box: a multi-MB reply
-    req.lo.assign(dim, -100.0);
-    req.hi.assign(dim, 100.0);
-    EncodeBoxQueryRequest(req, &pw);
-    std::vector<uint8_t> frame;
-    protocol::AppendFrame(payload, &frame);
-    ASSERT_TRUE(
-        sock->WriteFull(frame.data(), frame.size(), IoDeadline::After(5000))
-            .ok());
-
-    // Half the iterations RST immediately; the rest give the server a head
-    // start so some writes fail mid-stream rather than up front.
-    if (i % 2 == 1) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    struct linger lin;
-    lin.l_onoff = 1;
-    lin.l_linger = 0;
-    ASSERT_EQ(
-        setsockopt(sock->fd(), SOL_SOCKET, SO_LINGER, &lin, sizeof(lin)), 0);
-    sock->Close();  // RST: the server's pending write hits ECONNRESET/EPIPE
-  }
-  // The process survived every mid-reply close and still serves correctly.
-  ExpectServerHealthy();
-}
-
-TEST_F(ServerProtocolTest, AbuseBarrageLeavesServerServing) {
-  // A burst of mixed violations from several threads, then a correctness
-  // probe: the server must still answer queries with exact results.
-  std::vector<std::thread> abusers;
-  for (int t = 0; t < 4; ++t) {
-    abusers.emplace_back([t] {
-      for (int i = 0; i < 8; ++i) {
-        auto sock = TcpConnect("127.0.0.1", server_->port(), 5000);
-        if (!sock.ok()) continue;
-        std::vector<uint8_t> junk((t * 8 + i) % 23 + 1,
-                                  static_cast<uint8_t>(i * 37 + t));
-        (void)sock->WriteFull(junk.data(), junk.size(),
-                              IoDeadline::After(1000));
-        // Half the abusers vanish without closing properly.
-        if (i % 2 == 0) sock->ShutdownBoth();
-      }
-    });
-  }
-  for (auto& a : abusers) a.join();
-  ExpectServerHealthy();
 }
 
 }  // namespace
